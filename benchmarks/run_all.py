@@ -24,8 +24,10 @@ regression gates —
   serving throughput, plus the kill-one-replica failover drill with
   every in-flight request bit-exact (``bench_scale_out``);
 * ``obs`` — tracing instrumentation costs <= 2% per served request
-  when disabled (no-op fast path) and <= 10% when recording
-  (``bench_obs``);
+  when disabled (no-op fast path) and <= 10% when recording; the
+  always-on PMU + flight recorder <= 5%, in-process and in a replica
+  child's spill mode; and a replica's per-dispatch wall time at job
+  ~2000 within 1.2x of job ~100 (uptime soak) (``bench_obs``);
 * ``slo`` — SLO-aware admission >= 1.5x FIFO goodput under 2x
   overload, and continuous batching of staggered multi-step streams
   >= 1.3x the drain-between-steps modeled throughput (``bench_slo``);

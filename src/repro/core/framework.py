@@ -23,6 +23,7 @@ Typical use::
 from __future__ import annotations
 
 import contextlib
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,7 @@ from repro.exec.memory import RowBlock, VerticalAllocator
 from repro.exec.tracker import ObjectTracker
 from repro.exec.transposition import TranspositionUnit
 from repro.isa.instructions import BbopInstruction, bbop, bbop_trsp_init
+from repro.obs.flightrec import DEFAULT_CAPACITY
 from repro.obs.tracing import span as obs_span
 from repro.uprog.program import MicroProgram
 from repro.uprog.scheduler import ScheduleOptions
@@ -142,8 +144,10 @@ class Simdram:
         self._multi: dict[tuple[str, int, str], MultiKernel] = {}
         #: Stats of the most recent :meth:`run` call.
         self.last_stats: CommandStats | None = None
-        #: Instruction log (every bbop issued), for tests/inspection.
-        self.issued: list[BbopInstruction] = []
+        #: Instruction log (the most recent bbops issued), for
+        #: tests/inspection; bounded so uptime does not grow memory.
+        self.issued: "deque[BbopInstruction]" = deque(
+            maxlen=DEFAULT_CAPACITY)
 
     # ------------------------------------------------------------------
     # operation management

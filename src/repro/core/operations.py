@@ -290,6 +290,9 @@ def _b_xor_red(c, ops, style):
 
 CATALOG: dict[str, OperationSpec] = {}
 
+#: Most operands a bbop takes (sizes the replica transport's slots).
+MAX_ARITY = 3
+
 
 def register_operation(name: str, arity: int, category: str,
                        description: str, build: BuildFn, golden: GoldenFn,
@@ -303,8 +306,9 @@ def register_operation(name: str, arity: int, category: str,
     """
     if name in CATALOG:
         raise OperationError(f"operation {name!r} already registered")
-    if not 1 <= arity <= 3:
-        raise OperationError(f"arity must be 1-3, got {arity}")
+    if not 1 <= arity <= MAX_ARITY:
+        raise OperationError(
+            f"arity must be 1-{MAX_ARITY}, got {arity}")
     spec = OperationSpec(
         name=name, arity=arity, category=category, description=description,
         build=build, golden=golden,

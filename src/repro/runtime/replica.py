@@ -13,10 +13,12 @@ process**, and gives the parent a thread-safe transport to them:
   execution-engine registry name (engine *instances* never cross the
   boundary; each replica resolves the name against its own registry);
 * **tensor payloads** travel through POSIX shared memory
-  (:mod:`multiprocessing.shared_memory`): the parent copies the packed
-  operand vectors into one segment per dispatch, the replica maps them
-  as ndarrays with zero deserialization cost, and the result comes
-  back the same way;
+  (:mod:`multiprocessing.shared_memory`): each replica owns one
+  :class:`Arena`, a ring of fixed-size slots the parent maps before it
+  forks the replica.  The parent copies a dispatch's operands into a
+  free slot, the replica computes on views of them and writes the
+  result into the same slot, and the parent copies it out and frees
+  the slot — no segment is created, attached or unlinked per dispatch;
 * **health** is a heartbeat loop: a monitor thread pings every replica
   and watches process liveness; a broken pipe, a dead process or (when
   ``max_silent_s`` is set) a prolonged silence marks the replica dead,
@@ -43,20 +45,22 @@ import signal
 import tempfile
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.expr import Expr
+from repro.core.operations import MAX_ARITY
 from repro.errors import OperationError, ReplicaError
 from repro.obs import clock
 from repro.obs.flightrec import get_flight_recorder
 from repro.obs.tracing import NOOP_SPAN, Span, current_span, use_span
 
-#: (offset, shape, dtype string) of one vector inside a shared segment.
+#: (offset, shape, dtype string) of one vector inside an arena slot.
 SlotMeta = tuple[int, tuple[int, ...], str]
 
 
@@ -100,7 +104,9 @@ class PendingJob:
     vectors: list[np.ndarray]
     lanes: int
     future: Future
-    shm: "shared_memory.SharedMemory | None" = None
+    #: Arena slot holding the payload while the job is on its replica
+    #: (``None`` before a slot is claimed and after it is freed).
+    slot: int | None = None
     #: Replica ids this job has already died on (failover audit trail).
     attempts: list[int] = field(default_factory=list)
     #: The job's ``replica.transport`` span: opened at submission,
@@ -110,81 +116,79 @@ class PendingJob:
 
 
 # ---------------------------------------------------------------------------
-# shared-memory ndarray transport
+# shared-memory arena
 #
-# Ownership protocol: the parent owns every ``unlink`` — it unlinks
-# payload segments once their job resolves and result segments after
-# copying them out.  CPython 3.11 registers a segment with the calling
-# process's resource tracker on *attach as well as create* (create-only
-# tracking arrived in 3.13), and every replica runs its *own* tracker
-# (:func:`_detach_resource_tracker` severs any inherited one), so every
-# process must balance its own books: a segment closed *without* being
-# unlinked in this process is explicitly unregistered via
-# :func:`_untrack`, while ``unlink`` unregisters as a side effect.
-# Crash safety falls out of the same rule: a replica SIGKILLed mid-job
-# still has its unsent result segment registered, so its tracker reaps
-# the file at process teardown, and the parent unlinks the payload.
+# Ownership protocol: a replica's arena is one segment the parent
+# creates before it forks the replica and unlinks in ``close()``.  The
+# child inherits the mapping through fork and never opens a segment by
+# name, so the parent is the only process a resource tracker knows the
+# segment in — and that tracker reaps it should the parent itself
+# crash.  A slot belongs to one in-flight job at a time: the parent
+# writes the operands, the replica writes the result behind them, and
+# the parent frees the slot once the job resolves or its replica dies.
 # ---------------------------------------------------------------------------
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Drop this process's tracker registration for a segment whose
-    ``unlink`` another process owns (see the ownership protocol).
-    ``_name`` is the registered key (``name`` strips the leading
-    slash that POSIX registration keeps)."""
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # noqa: BLE001 - bookkeeping must never fail a job
-        pass
+#: Slots per replica arena: dispatches one replica can hold in flight.
+ARENA_SLOTS = 16
 
 
-def _drop_segment(name: str) -> None:
-    """Unlink a segment whose job record is gone (failover race: the
-    original replica answered after the job was re-queued)."""
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError, ValueError):
-        return
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        _untrack(shm)
-    shm.close()
-def _share_vectors(vectors: Sequence[np.ndarray]
-                   ) -> tuple[shared_memory.SharedMemory, list[SlotMeta]]:
-    """Copy vectors into one fresh shared segment; returns (shm, metas)."""
-    arrays = [np.ascontiguousarray(v) for v in vectors]
-    total = max(1, sum(a.nbytes for a in arrays))
-    shm = shared_memory.SharedMemory(create=True, size=total)
-    metas: list[SlotMeta] = []
-    offset = 0
-    for a in arrays:
-        view = np.ndarray(a.shape, dtype=a.dtype, buffer=shm.buf,
-                          offset=offset)
-        view[:] = a
-        metas.append((offset, a.shape, a.dtype.str))
-        offset += a.nbytes
-    return shm, metas
+def _align(n_bytes: int) -> int:
+    return (n_bytes + 7) & ~7
 
 
-def _read_shared(name: str, metas: Sequence[SlotMeta],
-                 unlink: bool = False) -> list[np.ndarray]:
-    """Copy vectors out of a named segment (attach, copy, detach;
-    ``unlink=True`` additionally removes the segment — see the
-    ownership protocol above)."""
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        out = [np.ndarray(shape, dtype=np.dtype(dt), buffer=shm.buf,
-                          offset=off).copy()
-               for off, shape, dt in metas]
-    finally:
-        if unlink:
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                _untrack(shm)
-        else:
-            _untrack(shm)
-        shm.close()
-    return out
+class Arena:
+    """A ring of fixed-size operand/result slots in one shared segment.
+
+    A slot holds ``lanes`` elements of up to :data:`MAX_ARITY` operands
+    plus the result, 8 bytes each — any catalog dispatch of ``lanes``
+    lanes fits one slot.
+    """
+
+    def __init__(self, lanes: int) -> None:
+        self.slot_bytes = lanes * (MAX_ARITY + 1) * 8
+        self.shm = shared_memory.SharedMemory(
+            create=True, size=self.slot_bytes * ARENA_SLOTS)
+        #: Free slot numbers (parent-side bookkeeping).
+        self.free = list(range(ARENA_SLOTS))
+
+    def payload_bytes(self, vectors: Sequence[np.ndarray]) -> int:
+        """Slot bytes a dispatch needs: its operands plus an 8-byte
+        result element per lane."""
+        return (sum(_align(v.nbytes) for v in vectors)
+                + 8 * max((len(v) for v in vectors), default=0))
+
+    def write(self, slot: int, vectors: Sequence[np.ndarray],
+              offset: int = 0) -> list[SlotMeta]:
+        """Copy vectors into ``slot`` from ``offset`` on."""
+        metas: list[SlotMeta] = []
+        for vector in vectors:
+            end = offset + vector.nbytes
+            if end > self.slot_bytes:
+                raise OperationError(
+                    f"payload needs more than the {self.slot_bytes}-byte "
+                    f"arena slot")
+            self.view(slot, (offset, vector.shape, vector.dtype.str))[...] \
+                = vector
+            metas.append((offset, vector.shape, vector.dtype.str))
+            offset = _align(end)
+        return metas
+
+    def view(self, slot: int, meta: SlotMeta) -> np.ndarray:
+        """An ndarray over one vector of ``slot`` (no copy)."""
+        offset, shape, dtype = meta
+        return np.ndarray(shape, dtype=np.dtype(dtype),
+                          buffer=self.shm.buf,
+                          offset=slot * self.slot_bytes + offset)
+
+    def close(self) -> None:
+        """Unmap and unlink (parent only, once every replica is gone)."""
+        try:
+            self.shm.close()
+        except BufferError:
+            pass  # a stray view pins the mapping; the name still goes
+        try:
+            self.shm.unlink()
+        except FileNotFoundError:
+            pass
 
 
 def _sendable(error: BaseException) -> BaseException:
@@ -227,27 +231,8 @@ def _replica_info(cluster) -> dict:
     }
 
 
-def _detach_resource_tracker() -> None:
-    """Give this replica a resource tracker of its own.  A forked child
-    may inherit the parent's tracker connection; the tracker's cache is
-    a plain set (no refcount), so the child's attach-side unregister
-    calls would wipe the parent's create-side registrations and the
-    parent's later ``unlink`` would double-remove.  Severing the
-    inherited connection makes every process's bookkeeping independent:
-    this replica's first shared-memory call spawns a fresh tracker."""
-    tracker = resource_tracker._resource_tracker
-    fd = getattr(tracker, "_fd", None)
-    tracker._fd = None
-    tracker._pid = None
-    if fd is not None:
-        try:
-            os.close(fd)
-        except OSError:
-            pass
-
-
-def _replica_main(replica_id: int, conn, n_modules: int, config,
-                  manifest, seed: int | None,
+def _replica_main(replica_id: int, conn, arena: Arena, n_modules: int,
+                  config, manifest, seed: int | None,
                   spool_dir: "str | None" = None) -> None:
     """The child process: build a cluster, warm it, serve the pipe."""
     # The parent owns lifecycle; a ^C aimed at the parent's terminal
@@ -256,12 +241,14 @@ def _replica_main(replica_id: int, conn, n_modules: int, config,
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):
         pass
-    _detach_resource_tracker()
-    # Black box: this process's flight recorder continuously spills to
-    # the parent's spool directory.  SIGKILL cannot be trapped, so the
-    # spill file — rewritten after every event — is what survives a
-    # crash; on clean exit the ring ships home over the pipe instead.
+    # Black box: this process's flight recorder continuously appends
+    # to a spill log in the parent's spool directory, written before
+    # every record() returns, which the parent adopts when it buries
+    # this replica — stopped or SIGKILLed alike.  The ring forked from
+    # the parent holds the parent's events: drop them, or they would
+    # come home as ours.
     recorder = get_flight_recorder()
+    recorder.clear()
     recorder.source = f"replica-{replica_id}"
     if spool_dir is not None:
         recorder.configure_spill(
@@ -291,13 +278,9 @@ def _replica_main(replica_id: int, conn, n_modules: int, config,
             if tag == "stop":
                 recorder.record("replica.stop", replica=replica_id)
                 try:
-                    # Clean exit: the ring ships home over the pipe
-                    # (older parents ignore the extra element).
-                    conn.send(("stopped", replica_id,
-                               recorder.snapshot()))
+                    conn.send(("stopped", replica_id))
                 except (BrokenPipeError, OSError):
                     pass
-                recorder.remove_spill()
                 return
             if tag == "ping":
                 conn.send(("pong", message[1], _replica_info(cluster)))
@@ -311,7 +294,7 @@ def _replica_main(replica_id: int, conn, n_modules: int, config,
                 except Exception as error:  # noqa: BLE001
                     conn.send(("warm-error", token, _sendable(error)))
             elif tag == "job":
-                job_id, desc, shm_name, metas = message[1:]
+                job_id, desc, slot, metas = message[1:]
                 recorder.record("replica.job", replica=replica_id,
                                 job_id=job_id, op=desc.label(),
                                 width=desc.width)
@@ -327,7 +310,7 @@ def _replica_main(replica_id: int, conn, n_modules: int, config,
                             if getattr(desc, "traced", False)
                             else NOOP_SPAN)
                 try:
-                    vectors = _read_shared(shm_name, metas)
+                    vectors = [arena.view(slot, meta) for meta in metas]
                     from repro.exec.engines import get_engine
                     engine = get_engine(desc.engine)
                     with use_span(job_span):
@@ -340,18 +323,16 @@ def _replica_main(replica_id: int, conn, n_modules: int, config,
                                 desc.root,
                                 dict(zip(desc.slot_names, vectors)),
                                 width=desc.width, engine=engine)
-                    out_shm, out_metas = _share_vectors([out])
+                    # The result lands in the job's own slot, behind
+                    # the operands.
+                    end = max((_align(offset + vector.nbytes)
+                               for (offset, _, _), vector
+                               in zip(metas, vectors)), default=0)
+                    (out_meta,) = arena.write(slot, [out], offset=end)
                     info = _replica_info(cluster)
                     if job_span.recording:
                         info["span"] = job_span.finish().to_dict()
-                    conn.send(("result", job_id, out_shm.name,
-                               out_metas[0], info))
-                    # The parent unlinks after copying the result out;
-                    # untracking only after the send keeps the local
-                    # tracker as the safety net if this replica dies
-                    # before the parent learns the segment's name.
-                    _untrack(out_shm)
-                    out_shm.close()
+                    conn.send(("result", job_id, out_meta, info))
                     recorder.record("replica.job.done",
                                     replica=replica_id, job_id=job_id)
                 except Exception as error:  # noqa: BLE001 - fail the one job
@@ -371,10 +352,17 @@ def _replica_main(replica_id: int, conn, n_modules: int, config,
 class ReplicaHandle:
     """Parent-side view of one replica process."""
 
-    def __init__(self, replica_id: int, process, conn) -> None:
+    def __init__(self, replica_id: int, process, conn,
+                 arena: "Arena | None" = None) -> None:
         self.replica_id = replica_id
         self.process = process
         self.conn = conn
+        self.arena = arena
+        #: Jobs submitted from a receive thread while this replica's
+        #: arena was full: receive threads free the slots, so none may
+        #: wait for one.  This replica's receive thread sends them as
+        #: its slots free.
+        self.backlog: "deque[PendingJob]" = deque()
         self.alive = True
         self.info: dict = {}
         self.last_pong = time.monotonic()
@@ -436,8 +424,7 @@ class ReplicaSet:
                  config=None, manifest: Sequence[tuple] | None = None,
                  seed: int | None = 1, heartbeat_s: float = 0.25,
                  max_silent_s: float | None = None,
-                 spawn_timeout_s: float = 120.0,
-                 start_method: str | None = None) -> None:
+                 spawn_timeout_s: float = 120.0) -> None:
         if n_replicas < 1:
             raise OperationError(
                 f"a replica set needs >= 1 replica, got {n_replicas}")
@@ -449,6 +436,7 @@ class ReplicaSet:
         self.manifest = list(manifest or ())
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
+        self._slot_freed = threading.Condition(self._lock)
         self._jobs: dict[int, dict[int, PendingJob]] = {}
         self._controls: dict[tuple[int, int], Future] = {}
         self._job_ids = itertools.count()
@@ -462,19 +450,25 @@ class ReplicaSet:
         #: black box (adopted in :meth:`_mark_dead`).
         self.spool_dir = tempfile.mkdtemp(prefix="repro-flightrec-")
 
-        ctx = multiprocessing.get_context(start_method)
+        self.lanes = self.config.geometry.lanes() * n_modules
+        # Fork, not spawn: a child must inherit its arena's mapping
+        # (see the ownership protocol above the Arena class).
+        ctx = multiprocessing.get_context("fork")
         self.replicas: list[ReplicaHandle] = []
         for i in range(n_replicas):
+            arena = Arena(self.lanes)
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(
                 target=_replica_main, name=f"simdram-replica-{i}",
-                args=(i, child_conn, n_modules, self.config, self.manifest,
+                args=(i, child_conn, arena, n_modules, self.config,
+                      self.manifest,
                       None if seed is None else seed + 7919 * i,
                       self.spool_dir),
                 daemon=True)
             process.start()
             child_conn.close()  # keep exactly one parent-side end open
-            self.replicas.append(ReplicaHandle(i, process, parent_conn))
+            self.replicas.append(
+                ReplicaHandle(i, process, parent_conn, arena))
             self._jobs[i] = {}
 
         # All replicas boot concurrently; collect readiness afterwards.
@@ -482,7 +476,6 @@ class ReplicaSet:
         for replica in self.replicas:
             self._await_ready(replica, deadline)
 
-        self.lanes = self.replicas[0].info["lanes"]
         self.backend = self.replicas[0].info["backend"]
 
         self._receivers = [
@@ -517,6 +510,8 @@ class ReplicaSet:
         for replica in self.replicas:
             if replica.process.is_alive():
                 replica.process.terminate()
+            replica.process.join(timeout=10.0)
+            replica.arena.close()
         raise ReplicaError(reason)
 
     # ------------------------------------------------------------------
@@ -537,6 +532,11 @@ class ReplicaSet:
         with self._lock:
             return sum(job.lanes
                        for job in self._jobs[replica_id].values())
+
+    def fit_lanes(self, n_vectors: int) -> int:
+        """Most lanes a dispatch of ``n_vectors`` operands of up to 8
+        bytes each can carry in one arena slot (all arenas are alike)."""
+        return self.replicas[0].arena.slot_bytes // (8 * (n_vectors + 1))
 
     def busy_ns(self) -> float:
         """Modeled makespan of the whole set: replicas are independent
@@ -582,8 +582,17 @@ class ReplicaSet:
                vectors: Sequence[np.ndarray], lanes: int,
                future: Future | None = None) -> Future:
         """Ship one dispatch to a replica; resolves to ``(result
-        vector, replica info)``.  Pass ``future`` to re-arm an existing
-        job's future (the failover path)."""
+        vector, replica info)``.  Waits for a free arena slot; raises
+        :class:`~repro.errors.OperationError` for a payload larger than
+        a slot.  Pass ``future`` to re-arm an existing job's future
+        (the failover path)."""
+        vectors = [np.asarray(v) for v in vectors]
+        replica = self.replicas[replica_id]
+        need = replica.arena.payload_bytes(vectors)
+        if need > replica.arena.slot_bytes:
+            raise OperationError(
+                f"dispatch payload of {need} bytes exceeds the "
+                f"{replica.arena.slot_bytes}-byte arena slot")
         # The ambient span (the router's ``router.place`` or ``retry``)
         # becomes the transport span's parent; the ``traced`` flag asks
         # the replica to record its side of the tree and ship it back.
@@ -593,20 +602,21 @@ class ReplicaSet:
         if span.recording:
             desc = replace(desc, traced=True)
         job = PendingJob(job_id=next(self._job_ids), desc=desc,
-                         vectors=[np.asarray(v) for v in vectors],
-                         lanes=lanes, future=future or Future(),
-                         span=span)
-        replica = self.replicas[replica_id]
+                         vectors=vectors, lanes=lanes,
+                         future=future or Future(), span=span)
         with self._lock:
-            if self._closing:
-                raise ReplicaError("replica set is closed")
-            if not replica.alive:
-                raise ReplicaError(
-                    f"replica {replica_id} is dead")
-            job.shm, metas = _share_vectors(job.vectors)
+            try:
+                job.slot = self._claim_slot(replica)
+            except ReplicaError as error:
+                span.finish(error)
+                raise
             self._jobs[replica_id][job.job_id] = job
+            if job.slot is None:
+                replica.backlog.append(job)
+                return job.future
+            metas = replica.arena.write(job.slot, vectors)
         try:
-            replica.send(("job", job.job_id, desc, job.shm.name, metas))
+            replica.send(("job", job.job_id, desc, job.slot, metas))
         except ReplicaError:
             # The send itself failed.  If the job is still registered,
             # this thread owns it: reclaim it and re-raise so the
@@ -619,20 +629,55 @@ class ReplicaSet:
             self._mark_dead(replica)
             if owned is None:
                 return job.future
-            self._release_payload(job)
             job.span.finish(ReplicaError(
                 f"replica {replica_id} is unreachable"))
             raise
         return job.future
 
-    def _release_payload(self, job: PendingJob) -> None:
-        if job.shm is not None:
+    def _claim_slot(self, replica: ReplicaHandle) -> "int | None":
+        """Take a free slot of ``replica``'s arena, waiting for one
+        (lock held).  Returns ``None`` instead of waiting on a receive
+        thread (a completion callback or failover re-submitting):
+        receive threads are what free slots, so two of them waiting on
+        each other's arenas would deadlock."""
+        while True:
+            if self._closing:
+                raise ReplicaError("replica set is closed")
+            if not replica.alive:
+                raise ReplicaError(
+                    f"replica {replica.replica_id} is dead")
+            if replica.arena.free:
+                return replica.arena.free.pop()
+            if threading.current_thread() in self._receivers:
+                return None
+            self._slot_freed.wait()
+
+    def _release_slot(self, replica: ReplicaHandle,
+                      job: PendingJob) -> None:
+        with self._lock:
+            if job.slot is not None:
+                replica.arena.free.append(job.slot)
+                job.slot = None
+                # All: waiters for other replicas share the condition.
+                self._slot_freed.notify_all()
+
+    def _send_backlog(self, replica: ReplicaHandle) -> None:
+        """Send backlogged jobs into freed slots (receive thread)."""
+        while True:
+            with self._lock:
+                if not (replica.backlog and replica.arena.free
+                        and replica.alive):
+                    return
+                job = replica.backlog.popleft()
+                job.slot = replica.arena.free.pop()
+                metas = replica.arena.write(job.slot, job.vectors)
             try:
-                job.shm.close()
-                job.shm.unlink()
-            except FileNotFoundError:
-                pass
-            job.shm = None
+                replica.send(("job", job.job_id, job.desc, job.slot,
+                              metas))
+            except ReplicaError:
+                # Still registered: the death handler re-homes it.
+                self._mark_dead(replica)
+                return
 
     # ------------------------------------------------------------------
     # receive / health
@@ -664,7 +709,7 @@ class ReplicaSet:
                 break
             tag = message[0]
             if tag == "result":
-                job_id, shm_name, meta, info = message[1:]
+                job_id, meta, info = message[1:]
                 # The replica's serialized span tree rides inside the
                 # info dict; pop it so ``replica.info`` stays telemetry.
                 shipped = info.pop("span", None)
@@ -673,25 +718,24 @@ class ReplicaSet:
                 replica.jobs_done += 1
                 job = self._pop_job(replica.replica_id, job_id)
                 if job is None:
-                    # Resolved elsewhere (failover raced) — still
-                    # remove the orphaned result segment.
-                    _drop_segment(shm_name)
-                    continue
+                    continue  # resolved elsewhere (failover raced)
                 if shipped is not None and job.span.recording:
                     job.span.adopt(Span.from_dict(shipped))
                 try:
-                    (values,) = _read_shared(shm_name, [meta], unlink=True)
+                    values = replica.arena.view(job.slot, meta).copy()
                 except Exception as error:  # noqa: BLE001
-                    self._release_payload(job)
+                    self._release_slot(replica, job)
                     # Transport spans close *before* the future resolves
                     # so completion callbacks see a finished tree.
                     job.span.finish(error)
                     job.future.set_exception(ReplicaError(
                         f"result transport failed: {error}"))
                 else:
-                    self._release_payload(job)
+                    self._release_slot(replica, job)
                     job.span.finish()
                     job.future.set_result((values, info))
+                if replica.backlog:
+                    self._send_backlog(replica)
             elif tag == "job-error":
                 job_id, error, info = message[1:]
                 shipped = info.pop("span", None)
@@ -699,11 +743,13 @@ class ReplicaSet:
                 replica.jobs_done += 1
                 job = self._pop_job(replica.replica_id, job_id)
                 if job is not None:
-                    self._release_payload(job)
+                    self._release_slot(replica, job)
                     if shipped is not None and job.span.recording:
                         job.span.adopt(Span.from_dict(shipped))
                     job.span.finish(error)
                     job.future.set_exception(error)
+                    if replica.backlog:
+                        self._send_backlog(replica)
             elif tag == "pong":
                 replica.note_pong(message[1])
                 replica.info = message[2]
@@ -720,12 +766,6 @@ class ReplicaSet:
                 if future is not None:
                     future.set_exception(message[2])
             elif tag == "stopped":
-                # Newer children attach their flight-recorder ring;
-                # fold it into this process's postmortem segments.
-                if len(message) > 2:
-                    get_flight_recorder().adopt_segment(
-                        message[2],
-                        source=f"replica-{replica.replica_id}")
                 break
 
     def _monitor_loop(self) -> None:
@@ -767,6 +807,10 @@ class ReplicaSet:
             self.deaths += 1
             jobs = list(self._jobs[replica.replica_id].values())
             self._jobs[replica.replica_id].clear()
+            replica.backlog.clear()
+            # Wake submitters waiting for this replica's slots: they
+            # must place elsewhere now.
+            self._slot_freed.notify_all()
             controls = [key for key in self._controls
                         if key[0] == replica.replica_id]
             control_futures = [self._controls.pop(key)
@@ -778,10 +822,8 @@ class ReplicaSet:
             replica.conn.close()
         except OSError:
             pass
-        # Recover the black box: a crashed child never shipped its
-        # ring home, but its continuously-rewritten spill file is on
-        # disk.  (A cleanly stopped child removed the file; adoption
-        # is simply a no-op then.)
+        # Recover the black box: the child's spill log, stopped or
+        # crashed (the spool directory goes in ``close()``).
         recorder = get_flight_recorder()
         spill = os.path.join(self.spool_dir,
                              f"replica-{replica.replica_id}.json")
@@ -797,7 +839,6 @@ class ReplicaSet:
             f"replica {replica.replica_id} died "
             f"(pid {replica.process.pid})")
         for job in jobs:
-            self._release_payload(job)
             job.attempts.append(replica.replica_id)
             # Close the failed attempt's transport span now; the
             # router's failover path re-parents it under a ``retry``
@@ -864,6 +905,7 @@ class ReplicaSet:
             if self._closing:
                 return
             self._closing = True
+            self._slot_freed.notify_all()
         for replica in self.replicas:
             if not replica.alive:
                 continue
@@ -881,8 +923,10 @@ class ReplicaSet:
             if thread is not threading.current_thread():
                 thread.join(timeout=10.0)
         # Every replica is buried (spills adopted where they existed);
-        # the spool directory has served its purpose.
+        # the spool directory and the arenas have served their purpose.
         shutil.rmtree(self.spool_dir, ignore_errors=True)
+        for replica in self.replicas:
+            replica.arena.close()
 
     def __enter__(self) -> "ReplicaSet":
         return self

@@ -40,6 +40,7 @@ import hashlib
 import threading
 import time
 from bisect import bisect_right
+from concurrent.futures import Future
 from typing import Callable, Sequence
 
 import numpy as np
@@ -147,8 +148,8 @@ class ReplicaRouter:
                 on_done(values, None, info.get("replica_id"))
 
         try:
-            future = self._submit_with_retry(request.key, desc,
-                                             vectors, lanes)
+            future = self._submit_chunked(request.key, desc, vectors,
+                                          lanes)
         except BaseException as error:  # noqa: BLE001 - fail this pack
             self._settle()
             on_done(None, error, None)
@@ -205,6 +206,21 @@ class ReplicaRouter:
             with self._lock:
                 self.n_rebalanced += 1
         return preferred
+
+    def _submit_chunked(self, key, desc: WorkDescriptor, vectors,
+                        lanes: int):
+        """Submit a pack as one dispatch, or — when it outgrows one
+        arena slot (a pack overshoots ``lanes`` by its last request; a
+        single request may exceed it) — as consecutive lane chunks
+        whose results are joined back in order."""
+        step = self.replicas.fit_lanes(len(vectors))
+        if lanes <= step:
+            return self._submit_with_retry(key, desc, vectors, lanes)
+        return _joined([
+            self._submit_with_retry(key, desc,
+                                    [v[lo:lo + step] for v in vectors],
+                                    min(step, lanes - lo))
+            for lo in range(0, lanes, step)])
 
     def _submit_with_retry(self, key, desc: WorkDescriptor,
                            vectors, lanes: int):
@@ -376,6 +392,31 @@ class ReplicaRouter:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _joined(parts: "list[Future]") -> Future:
+    """One future over lane-chunk futures: resolves to ``(concatenated
+    values, first chunk's info)``, or the first chunk's failure."""
+    joined: Future = Future()
+    remaining = [len(parts)]
+    lock = threading.Lock()
+
+    def settle(_) -> None:
+        with lock:
+            remaining[0] -= 1
+            if remaining[0]:
+                return
+        try:
+            results = [part.result() for part in parts]
+        except BaseException as error:  # noqa: BLE001 - relayed
+            joined.set_exception(error)
+            return
+        joined.set_result((np.concatenate([v for v, _ in results]),
+                           results[0][1]))
+
+    for part in parts:
+        part.add_done_callback(settle)
+    return joined
 
 
 def replica_tier_samples(tier: dict) -> "list[Sample]":

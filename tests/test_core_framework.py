@@ -18,6 +18,7 @@ from repro.core.operations import (
 )
 from repro.dram.geometry import DramGeometry
 from repro.errors import OperationError
+from repro.obs.flightrec import DEFAULT_CAPACITY
 
 
 class TestCatalog:
@@ -105,6 +106,15 @@ class TestFacade:
         sim.run("add", a, b)
         assert sim.issued[-1].op == "add"
         assert sim.issued[-1].element_width == 8
+
+    def test_issued_log_is_bounded(self, sim):
+        """Uptime must not grow memory: the log keeps the newest
+        DEFAULT_CAPACITY bbops, however many maps ran."""
+        a = np.arange(4)
+        for _ in range(DEFAULT_CAPACITY + 100):
+            sim.map("add", a, a, width=8)
+        assert len(sim.issued) <= DEFAULT_CAPACITY
+        assert sim.issued[-1].op == "add"
 
     def test_wrong_arity_rejected(self, sim):
         a = sim.array([1], 8)

@@ -2,10 +2,10 @@
 
 Units drive a private :class:`FlightRecorder` (ring bound, spill
 files, segment adoption, merged dumps); the integration tests run real
-replica processes and assert the cross-process black-box story — a
-cleanly-stopped replica ships its ring home over the pipe, a
-SIGKILLed one is recovered from its continuously-rewritten spill file,
-and the merged postmortem contains the dead replica's final events.
+replica processes and assert the cross-process black-box story — the
+ring of a cleanly stopped replica and of a SIGKILLed one both come
+home from its append-only spill log, and the merged postmortem
+contains the dead replica's final events.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ import pytest
 from repro.core.framework import SimdramConfig
 from repro.dram.geometry import DramGeometry
 from repro.errors import ReplicaError
+from repro.obs import clock
 from repro.obs.flightrec import (FlightRecorder, get_flight_recorder,
-                                 postmortem)
+                                 postmortem, read_spill)
 from repro.runtime import SimdramCluster
 from repro.runtime.replica import ReplicaSet, WorkDescriptor
 from repro.serve import ServeConfig, SimdramService
@@ -78,9 +79,9 @@ class TestSpill:
         path = tmp_path / "spill.json"
         rec.configure_spill(str(path))
         rec.record("first")
-        assert json.loads(path.read_text())["n_recorded"] == 1
+        assert read_spill(str(path))["n_recorded"] == 1
         rec.record("second")
-        payload = json.loads(path.read_text())
+        payload = read_spill(str(path))
         assert payload["n_recorded"] == 2
         assert [e["kind"] for e in payload["events"]] == \
             ["first", "second"]
@@ -93,7 +94,70 @@ class TestSpill:
         rec.record("b")
         assert not path.exists()
         rec.record("c")
-        assert json.loads(path.read_text())["n_recorded"] == 3
+        assert read_spill(str(path))["n_recorded"] == 3
+
+    def test_spill_is_header_plus_one_line_per_event(self, tmp_path):
+        rec = FlightRecorder(capacity=8, source="child")
+        path = tmp_path / "spill.json"
+        rec.configure_spill(str(path))
+        for i in range(3):
+            rec.record("e", i=i)
+        header, *lines = path.read_text().splitlines()
+        assert json.loads(header)["source"] == "child"
+        assert json.loads(header)["pid"] == os.getpid()
+        assert [json.loads(line)["i"] for line in lines] == [0, 1, 2]
+
+    def test_rotation_keeps_last_capacity_events_in_order(self, tmp_path):
+        rec = FlightRecorder(capacity=4, source="child")
+        path = tmp_path / "spill.json"
+        rec.configure_spill(str(path))
+        for i in range(23):
+            rec.record("e", i=i)
+            # Header plus at most 2 x capacity event lines, ever.
+            assert len(path.read_text().splitlines()) <= 1 + 2 * 4
+        payload = read_spill(str(path), capacity=4)
+        assert [e["i"] for e in payload["events"]] == [19, 20, 21, 22]
+        assert payload["n_recorded"] == 23
+        assert payload["n_dropped"] == 19
+        # No temporary file survives a rotation.
+        assert os.listdir(tmp_path) == ["spill.json"]
+
+    def test_torn_final_line_is_skipped(self, tmp_path):
+        rec = FlightRecorder(capacity=8, source="child")
+        path = tmp_path / "spill.json"
+        rec.configure_spill(str(path))
+        rec.record("whole", i=0)
+        rec.record("whole", i=1)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"t": 1.0, "kind": "tor')  # SIGKILL mid-write
+        payload = read_spill(str(path))
+        assert [e["i"] for e in payload["events"]] == [0, 1]
+        adopter = FlightRecorder(capacity=8)
+        assert adopter.adopt_spill_file(str(path), source="replica-9")
+        assert len(adopter.dump()["segments"]["replica-9"]["events"]) == 2
+
+    def test_bytes_per_record_independent_of_ring_fill(self, tmp_path):
+        """O(one event): a record on a full ring appends exactly as many
+        bytes as one on an empty ring."""
+        rec = FlightRecorder(capacity=16, source="child")
+        path = tmp_path / "spill.json"
+        rec.configure_spill(str(path))
+        clock.set_source(lambda: 1234.5)
+        try:
+            def grows_by() -> int:
+                before = path.stat().st_size
+                rec.record("e", lanes=64)
+                return path.stat().st_size - before
+
+            rec.record("e", lanes=64)          # creates the file
+            empty = grows_by()
+            for _ in range(20):                # fill the ring (no rotation)
+                rec.record("e", lanes=64)
+            assert len(rec.events()) == 16
+            full = grows_by()
+        finally:
+            clock.set_source(None)
+        assert empty == full == len('{"t":1234.5,"kind":"e","lanes":64}\n')
 
     def test_spill_now_and_remove(self, tmp_path):
         rec = FlightRecorder(capacity=8)
@@ -212,6 +276,20 @@ class TestReplicaBlackBox:
         deaths = [e for e in dump["events"]
                   if e["kind"] == "replica.death" and e["replica"] == 0]
         assert deaths and deaths[-1]["black_box_recovered"]
+
+    def test_replica_does_not_retag_parent_events(self):
+        """A forked replica starts from an empty ring: the parent's
+        pre-fork events must not come home as the replica's."""
+        marker = "parent.prefork.marker"
+        get_flight_recorder().record(marker)
+        with ReplicaSet(1, config=small_config()) as replicas:
+            a = np.arange(8)
+            replicas.submit(0, add_desc(), [a, a], lanes=8).result(60)
+        segment = get_flight_recorder().dump()["segments"]["replica-0"]
+        kinds = [e["kind"] for e in segment["events"]]
+        assert marker not in kinds
+        assert kinds[0] == "replica.ready"
+        assert segment["n_recorded"] == len(kinds)
 
     def test_spool_dir_removed_on_close(self):
         with ReplicaSet(1, config=small_config()) as replicas:

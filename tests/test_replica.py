@@ -7,9 +7,13 @@ tested against a fake replica set (no processes at all).
 
 from __future__ import annotations
 
+import os
+import signal
+import sys
 import threading
 import time
 from concurrent.futures import Future
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -17,8 +21,9 @@ import pytest
 from repro.core import expr
 from repro.core.framework import SimdramConfig
 from repro.dram.geometry import DramGeometry
-from repro.errors import ReplicaError
-from repro.runtime.replica import PendingJob, ReplicaSet, WorkDescriptor
+from repro.errors import OperationError, ReplicaError
+from repro.runtime.replica import (ARENA_SLOTS, PendingJob, ReplicaSet,
+                                   WorkDescriptor)
 from repro.serve import ServeConfig, SimdramService
 from repro.serve.router import ReplicaRouter, _stable_hash
 
@@ -31,6 +36,16 @@ def small_config() -> SimdramConfig:
 def add_desc(width: int = 8) -> WorkDescriptor:
     return WorkDescriptor(kind="op", op_name="add", root=None,
                           slot_names=(), width=width, engine="auto")
+
+
+def freeze(replicas: ReplicaSet, replica_id: int) -> None:
+    """SIGSTOP one replica: jobs sent to it stay in flight (and hold
+    their arena slots) until it is continued or killed."""
+    os.kill(replicas.replicas[replica_id].process.pid, signal.SIGSTOP)
+
+
+def thaw(replicas: ReplicaSet, replica_id: int) -> None:
+    os.kill(replicas.replicas[replica_id].process.pid, signal.SIGCONT)
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +123,10 @@ class TestReplicaSetTransport:
 class TestReplicaDeath:
     def test_kill_fails_inflight_without_handler(self):
         with ReplicaSet(1, config=small_config()) as replicas:
-            a = np.arange(2000) % 256
-            futures = [replicas.submit(0, add_desc(), [a, a], lanes=1)
+            a = np.arange(64) % 256
+            # Frozen, the replica cannot finish a job before the kill.
+            freeze(replicas, 0)
+            futures = [replicas.submit(0, add_desc(), [a, a], lanes=64)
                        for _ in range(4)]
             replicas.kill(0)
             for future in futures:
@@ -130,8 +147,9 @@ class TestReplicaDeath:
                 event.set()
 
             replicas.set_death_handler(handler)
-            a = np.arange(3000) % 256
-            future = replicas.submit(0, add_desc(), [a, a], lanes=1)
+            a = np.arange(64) % 256
+            freeze(replicas, 0)
+            future = replicas.submit(0, add_desc(), [a, a], lanes=64)
             replicas.kill(0)
             assert event.wait(60)
             (replica_id, jobs), = collected
@@ -187,6 +205,175 @@ class TestReplicaDeath:
             # The victim's process is healthy (only its handle was
             # sabotaged); reap it so close() doesn't wait out a join.
             replicas.kill(0)
+
+
+def shm_segments() -> set:
+    return {name for name in os.listdir("/dev/shm")
+            if name.startswith("psm_")}
+
+
+@pytest.fixture
+def created_segments(monkeypatch):
+    """Names of the shared-memory segments this process creates (other
+    processes on the host may use /dev/shm too)."""
+    created: list = []
+
+    class Counting(shared_memory.SharedMemory):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            created.append(self.name)
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", Counting)
+    return created
+
+
+class TestArena:
+    def test_one_segment_per_replica_none_left_after_close(
+            self, created_segments):
+        with ReplicaSet(2, config=small_config()) as replicas:
+            a = np.arange(64) % 256
+            for i in range(10):
+                values, _ = replicas.submit(
+                    i % 2, add_desc(), [a, a], lanes=64).result(60)
+                assert np.array_equal(values, (2 * a) % 256)
+            # One arena per replica; dispatches create no segments.
+            assert len(created_segments) == 2
+            assert set(created_segments) <= shm_segments()
+        assert not set(created_segments) & shm_segments()
+
+    def test_no_segment_left_after_kill_drill(self, created_segments):
+        with ReplicaRouter(2, config=small_config(),
+                           manifest=[("add", 8)]) as router, \
+                SimdramService(router,
+                               ServeConfig(max_wait_s=0.001)) as service:
+            a = np.arange(200) % 128
+            handles = [service.submit("add", a, a, width=8)
+                       for _ in range(6)]
+            router.kill(0)
+            for handle in handles:
+                assert np.array_equal(handle.result(120), (2 * a) % 256)
+        assert len(created_segments) == 2
+        assert not set(created_segments) & shm_segments()
+
+    def test_oversize_payload_rejected_replica_survives(self, replica_set):
+        big = np.arange(replica_set.lanes * 4) % 256
+        with pytest.raises(OperationError, match="arena slot"):
+            replica_set.submit(0, add_desc(), [big, big], lanes=len(big))
+        assert 0 in replica_set.alive_ids()
+        a = np.arange(replica_set.lanes) % 256
+        values, _ = replica_set.submit(
+            0, add_desc(), [a, a], lanes=len(a)).result(60)
+        assert np.array_equal(values, (2 * a) % 256)
+
+    def test_full_arena_blocks_submit_then_completes(self):
+        rng = np.random.default_rng(3)
+        with ReplicaSet(1, config=small_config()) as replicas:
+            cases = [(rng.integers(0, 256, 64), rng.integers(0, 256, 64))
+                     for _ in range(ARENA_SLOTS + 1)]
+            freeze(replicas, 0)
+            futures = [replicas.submit(0, add_desc(), [a, b], lanes=64)
+                       for a, b in cases[:-1]]
+            late: list = []
+            blocked = threading.Thread(target=lambda: late.append(
+                replicas.submit(0, add_desc(), list(cases[-1]),
+                                lanes=64)), daemon=True)
+            blocked.start()
+            blocked.join(0.3)
+            assert blocked.is_alive()          # waiting for a slot
+            assert replicas.n_inflight(0) == ARENA_SLOTS
+            thaw(replicas, 0)
+            blocked.join(60)
+            assert not blocked.is_alive()
+            for (a, b), future in zip(cases, futures + late):
+                values, _ = future.result(60)
+                assert np.array_equal(values, (a + b) % 256)
+
+    def test_resubmit_from_completion_callback_never_deadlocks(self):
+        """A completion callback runs on the replica's receive thread —
+        the thread that frees its slots — so a re-submission there
+        that finds the arena full must queue, not wait."""
+        rng = np.random.default_rng(4)
+        cases = [(rng.integers(0, 256, 64), rng.integers(0, 256, 64))
+                 for _ in range(ARENA_SLOTS + 2)]
+        chained: list = []
+        with ReplicaSet(1, config=small_config()) as replicas:
+            def resubmit(_) -> None:
+                chained.extend(
+                    replicas.submit(0, add_desc(), [a, b], lanes=64)
+                    for a, b in cases)
+
+            # Frozen until the callback is armed, so it fires on the
+            # receive thread rather than inline here.
+            freeze(replicas, 0)
+            first = replicas.submit(0, add_desc(),
+                                    [cases[0][0], cases[0][1]], lanes=64)
+            first.add_done_callback(resubmit)
+            thaw(replicas, 0)
+            first.result(60)
+            deadline = time.monotonic() + 60
+            while len(chained) < len(cases) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            for (a, b), future in zip(cases, chained):
+                values, _ = future.result(60)
+                assert np.array_equal(values, (a + b) % 256)
+            assert len(chained) == len(cases)
+
+    def test_concurrent_submitters_never_share_a_slot(self):
+        """Stress: more submitting threads than cores, a tiny switch
+        interval, and far more jobs than slots.  A slot handed to two
+        jobs at once would corrupt one result; a lost free would leave
+        the arena short of slots afterwards."""
+        n_threads, per_thread = 6, 40
+        rng = np.random.default_rng(8)
+        cases = [[(rng.integers(0, 256, 64), rng.integers(0, 256, 64))
+                  for _ in range(per_thread)] for _ in range(n_threads)]
+        bad: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ReplicaSet(2, config=small_config()) as replicas:
+                def worker(index: int) -> None:
+                    futures = [(a, b, replicas.submit(
+                        (index + i) % 2, add_desc(), [a, b], lanes=64))
+                        for i, (a, b) in enumerate(cases[index])]
+                    for a, b, future in futures:
+                        values, _ = future.result(60)
+                        if not np.array_equal(values, (a + b) % 256):
+                            bad.append(index)
+
+                threads = [threading.Thread(target=worker, args=(i,),
+                                            daemon=True)
+                           for i in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(t.is_alive() for t in threads)
+                assert replicas.drain(30)
+                for replica in replicas.replicas:
+                    assert sorted(replica.arena.free) == \
+                        list(range(ARENA_SLOTS))
+        finally:
+            sys.setswitchinterval(interval)
+        assert bad == []
+
+    def test_failover_rehomes_into_survivor_arena_bit_exact(self):
+        rng = np.random.default_rng(6)
+        a = rng.integers(0, 256, 64)
+        b = rng.integers(0, 256, 64)
+        with ReplicaSet(2, config=small_config()) as replicas:
+            def rehome(replica_id, jobs):
+                for job in jobs:
+                    replicas.submit(1, job.desc, job.vectors, job.lanes,
+                                    future=job.future)
+
+            replicas.set_death_handler(rehome)
+            freeze(replicas, 0)
+            future = replicas.submit(0, add_desc(), [a, b], lanes=64)
+            replicas.kill(0)
+            values, info = future.result(60)
+            assert np.array_equal(values, (a + b) % 256)
+            assert info["replica_id"] == 1
 
 
 # ---------------------------------------------------------------------------
